@@ -6,7 +6,7 @@
 // what factor. Full parameter sweeps — the actual table/figure series —
 // are produced by `go run ./cmd/vchain-bench -exp <name>`.
 //
-// Mapping (see DESIGN.md §4 for details):
+// Mapping:
 //
 //	Table 1    → BenchmarkTable1SetupCost
 //	Fig. 9–11  → BenchmarkTimeWindowQuery, BenchmarkTimeWindowVerify
@@ -372,8 +372,8 @@ func BenchmarkSkipListSize(b *testing.B) {
 }
 
 // BenchmarkClusteringAblation quantifies the Alg. 2 Jaccard clustering
-// heuristic (a DESIGN.md design choice): query cost over an index built
-// with clustering vs positional pairing.
+// heuristic: query cost over an index built with clustering vs
+// positional pairing.
 func BenchmarkClusteringAblation(b *testing.B) {
 	acc := benchAcc(workload.FSQ, "acc2")
 	ds, err := workload.Generate(workload.Config{Kind: workload.FSQ, Blocks: 8, ObjectsPerBlock: 6, Seed: 5})

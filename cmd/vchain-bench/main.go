@@ -11,8 +11,7 @@
 // Each experiment prints an aligned text table whose rows mirror the
 // paper's series, and writes the same data as a machine-readable
 // BENCH_<experiment>.json artifact into -json-dir (so CI and the
-// process tracking the perf trajectory can diff runs); see
-// EXPERIMENTS.md for the paper-vs-measured notes.
+// process tracking the perf trajectory can diff runs).
 package main
 
 import (

@@ -5,12 +5,12 @@
 // turns that ownership into a pluggable Source with two policies:
 //
 //   - Resident keeps every decoded value, exactly the old behavior.
-//     It is the right choice for ephemeral backends (Null/Memory),
-//     where the decoded set IS the chain state.
+//     It is the right choice for the ephemeral Null backend, where the
+//     decoded set IS the chain state.
 //   - Paged keeps a bounded LRU of decoded values over a durable
 //     backend's record index: a miss reads the record bytes back,
 //     decodes (and cryptographically re-verifies) them, and caches the
-//     result under a byte/entry budget. Concurrent misses for the same
+//     result under an entry budget. Concurrent misses for the same
 //     index decode once (single-flight).
 //
 // The package is generic over the decoded value so it does not import
@@ -40,10 +40,6 @@ type Source[T any] interface {
 	// a backend Truncate: after a rollback the discarded heights must
 	// not be served from cache.
 	InvalidateFrom(i int)
-	// Scratch returns the value for key i without touching the cache
-	// or its statistics — a bypass read for bulk scans (snapshot
-	// export) that must not fault the whole chain into a paged cache.
-	Scratch(i int) (T, error)
 	// Stats returns a snapshot of the source's counters.
 	Stats() Stats
 }
@@ -63,8 +59,6 @@ type Stats struct {
 	Evictions int64
 	// Entries is the current number of cached values.
 	Entries int
-	// Bytes is the current estimated cache footprint.
-	Bytes int64
 }
 
 // Resident keeps every value for the process lifetime — the historical
@@ -104,9 +98,6 @@ func (r *Resident[T]) InvalidateFrom(i int) {
 	r.mu.Unlock()
 }
 
-// Scratch implements Source; for a resident source it is At.
-func (r *Resident[T]) Scratch(i int) (T, error) { return r.At(i) }
-
 // Stats implements Source.
 func (r *Resident[T]) Stats() Stats {
 	r.mu.RLock()
@@ -123,22 +114,14 @@ type PagedConfig[T any] struct {
 	// (header roots vs the rebuilt ADS), so a page-in is a verified
 	// fetch: corrupt or tampered records error here.
 	Decode func(i int, data []byte) (T, error)
-	// Size estimates the in-RAM footprint of a decoded value, for the
-	// byte budget. Nil means "count entries only".
-	Size func(v T) int
 	// MaxEntries bounds the number of cached values; <= 0 means no
-	// entry bound.
+	// bound. The most recent entry is always retained.
 	MaxEntries int
-	// MaxBytes bounds the estimated cache footprint; <= 0 means no
-	// byte bound. The most recent entry is always retained even if it
-	// alone exceeds the budget.
-	MaxBytes int64
 }
 
 type pagedEntry[T any] struct {
-	key  int
-	v    T
-	size int64
+	key int
+	v   T
 }
 
 type inflight[T any] struct {
@@ -156,8 +139,7 @@ type Paged[T any] struct {
 	lru     *list.List            // front = most recent; values are *pagedEntry[T]
 	entries map[int]*list.Element // key -> lru element
 	loading map[int]*inflight[T]  // single-flight page-ins
-	bytes   int64
-	gen     uint64 // bumped by InvalidateFrom; stale loads don't cache
+	gen     uint64                // bumped by InvalidateFrom; stale loads don't cache
 	hits    int64
 	misses  int64
 	evicts  int64
@@ -232,32 +214,17 @@ func (p *Paged[T]) Add(i int, v T) {
 // holds p.mu.
 func (p *Paged[T]) insertLocked(i int, v T) {
 	if el, ok := p.entries[i]; ok {
-		e := el.Value.(*pagedEntry[T])
-		p.bytes += p.sizeOf(v) - e.size
-		e.v, e.size = v, p.sizeOf(v)
+		el.Value.(*pagedEntry[T]).v = v
 		p.lru.MoveToFront(el)
 	} else {
-		e := &pagedEntry[T]{key: i, v: v, size: p.sizeOf(v)}
-		p.entries[i] = p.lru.PushFront(e)
-		p.bytes += e.size
+		p.entries[i] = p.lru.PushFront(&pagedEntry[T]{key: i, v: v})
 	}
-	for p.lru.Len() > 1 &&
-		((p.cfg.MaxEntries > 0 && p.lru.Len() > p.cfg.MaxEntries) ||
-			(p.cfg.MaxBytes > 0 && p.bytes > p.cfg.MaxBytes)) {
+	for p.cfg.MaxEntries > 0 && p.lru.Len() > p.cfg.MaxEntries {
 		back := p.lru.Back()
-		e := back.Value.(*pagedEntry[T])
 		p.lru.Remove(back)
-		delete(p.entries, e.key)
-		p.bytes -= e.size
+		delete(p.entries, back.Value.(*pagedEntry[T]).key)
 		p.evicts++
 	}
-}
-
-func (p *Paged[T]) sizeOf(v T) int64 {
-	if p.cfg.Size == nil {
-		return 0
-	}
-	return int64(p.cfg.Size(v))
 }
 
 // InvalidateFrom implements Source. In-flight page-ins started before
@@ -271,23 +238,10 @@ func (p *Paged[T]) InvalidateFrom(i int) {
 		if e.key >= i {
 			p.lru.Remove(el)
 			delete(p.entries, e.key)
-			p.bytes -= e.size
 		}
 		el = next
 	}
 	p.mu.Unlock()
-}
-
-// Scratch implements Source: a read that bypasses the cache, the
-// single-flight table, and the statistics — bulk exports page nothing
-// in and disturb nothing that is warm.
-func (p *Paged[T]) Scratch(i int) (T, error) {
-	data, err := p.cfg.Read(i)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return p.cfg.Decode(i, data)
 }
 
 // Stats implements Source.
@@ -300,6 +254,5 @@ func (p *Paged[T]) Stats() Stats {
 		Decodes:   p.decodes.Load(),
 		Evictions: p.evicts,
 		Entries:   p.lru.Len(),
-		Bytes:     p.bytes,
 	}
 }

@@ -20,8 +20,8 @@ func TestResidentBasics(t *testing.T) {
 	if v, _ := r.At(1); v != "b" {
 		t.Fatalf("At(1) = %q", v)
 	}
-	if v, _ := r.Scratch(2); v != "c" {
-		t.Fatalf("Scratch(2) = %q", v)
+	if v, _ := r.At(2); v != "c" {
+		t.Fatalf("At(2) = %q", v)
 	}
 	r.InvalidateFrom(1)
 	if v, _ := r.At(1); v != "" {
@@ -36,8 +36,8 @@ func TestResidentBasics(t *testing.T) {
 }
 
 // pagedOver returns a Paged source decoding "v<i>" strings from a
-// fake record store, with a decode counter independent of Stats.
-func pagedOver(maxEntries int, maxBytes int64, decoded *atomic.Int64) *Paged[string] {
+// fake record store.
+func pagedOver(maxEntries int) *Paged[string] {
 	return NewPaged(PagedConfig[string]{
 		Read: func(i int) ([]byte, error) {
 			if i < 0 || i >= 100 {
@@ -45,20 +45,13 @@ func pagedOver(maxEntries int, maxBytes int64, decoded *atomic.Int64) *Paged[str
 			}
 			return []byte(fmt.Sprintf("v%d", i)), nil
 		},
-		Decode: func(i int, data []byte) (string, error) {
-			if decoded != nil {
-				decoded.Add(1)
-			}
-			return string(data), nil
-		},
-		Size:       func(v string) int { return len(v) },
+		Decode:     func(i int, data []byte) (string, error) { return string(data), nil },
 		MaxEntries: maxEntries,
-		MaxBytes:   maxBytes,
 	})
 }
 
 func TestPagedHitMissEvict(t *testing.T) {
-	p := pagedOver(2, 0, nil)
+	p := pagedOver(2)
 	for _, i := range []int{0, 1, 2} { // 0 evicted when 2 arrives
 		if v, err := p.At(i); err != nil || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("At(%d) = %q, %v", i, v, err)
@@ -79,19 +72,8 @@ func TestPagedHitMissEvict(t *testing.T) {
 	}
 }
 
-func TestPagedByteBudget(t *testing.T) {
-	p := pagedOver(0, 5, nil) // "v0" is 2 bytes: budget holds 2 entries
-	p.At(0)
-	p.At(1)
-	p.At(2)
-	s := p.Stats()
-	if s.Entries != 2 || s.Bytes > 5 {
-		t.Fatalf("stats = %+v, want 2 entries within 5 bytes", s)
-	}
-}
-
 func TestPagedSingleEntryExceedsBudget(t *testing.T) {
-	p := pagedOver(0, 1, nil) // every entry over budget: newest retained
+	p := pagedOver(1) // smallest budget: newest retained
 	p.At(0)
 	p.At(1)
 	if s := p.Stats(); s.Entries != 1 {
@@ -135,7 +117,7 @@ func TestPagedSingleFlight(t *testing.T) {
 }
 
 func TestPagedInvalidateFrom(t *testing.T) {
-	p := pagedOver(0, 0, nil)
+	p := pagedOver(0)
 	p.At(0)
 	p.At(1)
 	p.At(2)
@@ -186,20 +168,5 @@ func TestPagedReadErrorPropagates(t *testing.T) {
 	}
 	if s := p.Stats(); s.Entries != 0 || s.Decodes != 0 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestPagedScratchBypassesCache(t *testing.T) {
-	var decoded atomic.Int64
-	p := pagedOver(0, 0, &decoded)
-	if v, err := p.Scratch(4); err != nil || v != "v4" {
-		t.Fatalf("Scratch = %q, %v", v, err)
-	}
-	s := p.Stats()
-	if s.Entries != 0 || s.Hits != 0 || s.Misses != 0 || s.Decodes != 0 {
-		t.Fatalf("Scratch touched stats/cache: %+v", s)
-	}
-	if decoded.Load() != 1 {
-		t.Fatalf("decoded = %d, want 1", decoded.Load())
 	}
 }

@@ -5,9 +5,8 @@
 // Absolute numbers differ from the paper (different hardware, pairing
 // library, and scaled-down data), but each driver reports the same rows
 // or series so the paper's comparisons — which scheme wins, how costs
-// scale with the swept parameter — can be checked directly. The mapping
-// from experiment to driver lives in DESIGN.md; measured-vs-paper notes
-// live in EXPERIMENTS.md.
+// scale with the swept parameter — can be checked directly. Experiments
+// maps each experiment name to its driver.
 package bench
 
 import (

@@ -49,7 +49,7 @@ func clusteredVsPositional(t *testing.T, noCluster bool) int {
 	return vo.SizeBytes(acc)
 }
 
-// TestClusteringAblation quantifies the DESIGN.md claim behind Alg. 2:
+// TestClusteringAblation quantifies the claim behind Alg. 2:
 // Jaccard clustering lets whole subtrees be pruned, shrinking the VO
 // relative to positional pairing. Correctness holds either way.
 func TestClusteringAblation(t *testing.T) {

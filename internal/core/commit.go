@@ -10,25 +10,21 @@ import (
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// chainRecord is the legacy (v1) record unit: one gob stream holding
-// block and ADS together. It survives only as the decode fallback for
-// stores written before the framed v2 format below.
-type chainRecord struct {
-	Block *chain.Block
-	ADS   *BlockADS
-}
-
-// recMagicV2 prefixes a framed v2 record. The first byte is 0x00,
-// which no gob stream starts with (gob frames open with a non-zero
-// length), so v1 and v2 records coexist in one store unambiguously.
+// recMagicV2 prefixes every chain record. The first byte is 0x00,
+// which no gob stream starts with, so a record of the retired v1
+// format (one bare gob of block and ADS) fails to decode instead of
+// being misparsed.
 var recMagicV2 = []byte{0x00, 'V', 'C', 'R', '2'}
 
-// encodeRecord renders a (block, ADS) pair as one self-contained v2
+// EncodeChainRecord renders a (block, ADS) pair as one self-contained
 // record: magic, a length-prefixed block gob, then the ADS gob. The
 // two halves are independently decodable, which is what makes reopen
 // lazy — an index-only open decodes just the block sections, and the
-// paged ADS source decodes just the ADS section on a cache miss.
-func encodeRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
+// paged ADS source decodes just the ADS section on a cache miss. The
+// shard router persists the identical format into its per-shard
+// backends, so a shard directory is readable by the same tooling as a
+// monolithic store.
+func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 	var blkBuf bytes.Buffer
 	if err := gob.NewEncoder(&blkBuf).Encode(blk); err != nil {
 		return nil, fmt.Errorf("core: encoding chain record block: %w", err)
@@ -45,60 +41,25 @@ func encodeRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// splitRecordV2 returns the block and ADS sections of a v2 record, or
-// (nil, nil, false) for a v1 record.
-func splitRecordV2(data []byte) (blkGob, adsGob []byte, v2 bool, err error) {
-	if len(data) == 0 || data[0] != 0x00 {
-		return nil, nil, false, nil
-	}
+// splitRecord returns the block and ADS sections of a record.
+func splitRecord(data []byte) (blkGob, adsGob []byte, err error) {
 	if len(data) < len(recMagicV2)+4 || !bytes.Equal(data[:len(recMagicV2)], recMagicV2) {
-		return nil, nil, false, fmt.Errorf("core: malformed v2 chain record")
+		return nil, nil, fmt.Errorf("core: malformed v2 chain record")
 	}
 	n := int(binary.BigEndian.Uint32(data[len(recMagicV2):]))
 	body := data[len(recMagicV2)+4:]
 	if n <= 0 || n >= len(body) {
-		return nil, nil, false, fmt.Errorf("core: malformed v2 chain record")
+		return nil, nil, fmt.Errorf("core: malformed v2 chain record")
 	}
-	return body[:n], body[n:], true, nil
+	return body[:n], body[n:], nil
 }
 
-// decodeRecord is the inverse of encodeRecord, reading v1 records too.
-func decodeRecord(data []byte) (*chain.Block, *BlockADS, error) {
-	blkGob, adsGob, v2, err := splitRecordV2(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !v2 {
-		var rec chainRecord
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-			return nil, nil, fmt.Errorf("core: decoding chain record: %w", err)
-		}
-		if rec.Block == nil || rec.ADS == nil {
-			return nil, nil, fmt.Errorf("core: chain record missing block or ADS")
-		}
-		return rec.Block, rec.ADS, nil
-	}
-	var blk chain.Block
-	if err := gob.NewDecoder(bytes.NewReader(blkGob)).Decode(&blk); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding chain record block: %w", err)
-	}
-	var ads BlockADS
-	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding chain record ADS: %w", err)
-	}
-	return &blk, &ads, nil
-}
-
-// decodeRecordBlock decodes only the block half of a record: the
+// DecodeChainRecordBlock decodes only the block half of a record: the
 // index-only reopen path, which skips the (much larger) ADS body.
-func decodeRecordBlock(data []byte) (*chain.Block, error) {
-	blkGob, _, v2, err := splitRecordV2(data)
+func DecodeChainRecordBlock(data []byte) (*chain.Block, error) {
+	blkGob, _, err := splitRecord(data)
 	if err != nil {
 		return nil, err
-	}
-	if !v2 {
-		blk, _, err := decodeRecord(data)
-		return blk, err
 	}
 	var blk chain.Block
 	if err := gob.NewDecoder(bytes.NewReader(blkGob)).Decode(&blk); err != nil {
@@ -107,48 +68,18 @@ func decodeRecordBlock(data []byte) (*chain.Block, error) {
 	return &blk, nil
 }
 
-// decodeRecordADS decodes only the ADS half of a record: the page-in
-// path, which already has the block in the chain store.
-func decodeRecordADS(data []byte) (*BlockADS, error) {
-	_, adsGob, v2, err := splitRecordV2(data)
+// DecodeChainRecordADS decodes only the ADS half of a record: the
+// page-in path, which already has the block in the chain store.
+func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
+	_, adsGob, err := splitRecord(data)
 	if err != nil {
 		return nil, err
-	}
-	if !v2 {
-		_, ads, err := decodeRecord(data)
-		return ads, err
 	}
 	var ads BlockADS
 	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
 		return nil, fmt.Errorf("core: decoding chain record ADS: %w", err)
 	}
 	return &ads, nil
-}
-
-// EncodeChainRecord renders a (block, ADS) pair in the canonical commit
-// record format. The shard router persists the identical format into
-// its per-shard backends, so a shard directory is readable by the same
-// tooling as a monolithic store.
-func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
-	return encodeRecord(blk, ads)
-}
-
-// DecodeChainRecord is the inverse of EncodeChainRecord.
-func DecodeChainRecord(data []byte) (*chain.Block, *BlockADS, error) {
-	return decodeRecord(data)
-}
-
-// DecodeChainRecordBlock decodes only the block half of a record (see
-// decodeRecordBlock); shard reopen uses it to index without paying for
-// ADS decodes.
-func DecodeChainRecordBlock(data []byte) (*chain.Block, error) {
-	return decodeRecordBlock(data)
-}
-
-// DecodeChainRecordADS decodes only the ADS half of a record (see
-// decodeRecordADS); paged shard workers use it at page-in.
-func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
-	return decodeRecordADS(data)
 }
 
 // VerifyADSCommitments checks a decoded ADS against an
@@ -198,14 +129,14 @@ func (n *FullNode) validateCommit(blk *chain.Block, ads *BlockADS, against *chai
 }
 
 // commitLocked is the single choke point through which every (block,
-// ADS) pair enters the node: MineBlock, Load, and backend replay all
-// route through it. It validates, persists to the backend (unless the
-// record is already durable, i.e. during replay), publishes the ADS to
-// the source, and only then appends the block — readers gate on the
-// store height, so no one can ever observe the chain advanced to h+1
-// without the ADS at h reachable (cached for a resident source,
-// durable and pageable for a paged one). The n.mu write lock
-// serializes writers; readers never take it.
+// ADS) pair enters the node (MineBlock routes through it). It
+// validates, persists to the backend (unless persist is false or the
+// backend is ephemeral), publishes the ADS to the source, and only
+// then appends the block — readers gate on the store height, so no
+// one can ever observe the chain advanced to h+1 without the ADS at h
+// reachable (cached for a resident source, durable and pageable for a
+// paged one). The n.mu write lock serializes writers; readers never
+// take it.
 func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS, persist bool) error {
 	height := n.Store.Height()
 	if err := n.validateCommit(blk, ads, n.Store, height); err != nil {
@@ -217,7 +148,7 @@ func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS, persist bool) e
 		persist = false
 	}
 	if persist {
-		data, err := encodeRecord(blk, ads)
+		data, err := EncodeChainRecord(blk, ads)
 		if err != nil {
 			return err
 		}

@@ -102,3 +102,47 @@ func (v *Verifier) verifyErr(q Query, vo *VO) error {
 	_, err := v.VerifyTimeWindow(q, vo)
 	return err
 }
+
+// FuzzChainRecordDecode hammers the two decoders that read chain
+// records back from disk: the index-only reopen (block half) and the
+// ADS page-in (ADS half, followed by the page-in's commitment
+// re-check).
+// Stored bytes are untrusted — bit-rot that slips past the CRC, a
+// tampered store, a record of the retired v1 format — so every input
+// must decode or fail with an error, never panic, and nothing without
+// the v2 magic may decode.
+func FuzzChainRecordDecode(f *testing.F) {
+	acc := testAccs(f)["acc2"]
+	node, _ := buildTestChain(f, acc, ModeBoth, 1)
+	blk, err := node.Store.BlockAt(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ads, err := node.ADSAt(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec, err := EncodeChainRecord(blk, ads)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec)
+	for _, n := range []int{0, 1, len(recMagicV2), len(recMagicV2) + 4, len(rec) / 2, len(rec) - 1} {
+		f.Add(rec[:n])
+	}
+	f.Add(v1Record(f, blk, ads))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gotBlk, blkErr := DecodeChainRecordBlock(data)
+		gotADS, adsErr := DecodeChainRecordADS(data)
+		if blkErr == nil && gotBlk == nil || adsErr == nil && gotADS == nil {
+			t.Fatal("decoder returned neither a value nor an error")
+		}
+		if !bytes.HasPrefix(data, recMagicV2) && (blkErr == nil || adsErr == nil) {
+			t.Fatal("record without the v2 magic decoded")
+		}
+		if adsErr == nil {
+			_ = VerifyADSCommitments(node.Builder, blk.Header, 0, gotADS)
+		}
+	})
+}

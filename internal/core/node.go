@@ -36,10 +36,10 @@ type FullNode struct {
 	// Builder constructs the ADS for mined blocks.
 	Builder *Builder
 
-	// mu serializes the commit pipeline (and snapshot export). Readers
-	// never take it: ADSAt gates on the store height and reads the
-	// source, both internally synchronized, so a slow page-in never
-	// stalls mining and vice versa.
+	// mu serializes the commit pipeline. Readers never take it: ADSAt
+	// gates on the store height and reads the source, both internally
+	// synchronized, so a slow page-in never stalls mining and vice
+	// versa.
 	mu sync.RWMutex
 	// ads owns the decoded ADS bodies; commits publish into it and
 	// ADSAt reads through it.
@@ -77,7 +77,6 @@ type NodeOption func(*nodeConfig)
 
 type nodeConfig struct {
 	cacheBlocks int
-	cacheBytes  int64
 }
 
 // WithADSCache bounds the node's decoded-ADS cache to at most blocks
@@ -86,12 +85,6 @@ type nodeConfig struct {
 // its only copy and stays fully resident.
 func WithADSCache(blocks int) NodeOption {
 	return func(c *nodeConfig) { c.cacheBlocks = blocks }
-}
-
-// WithADSCacheBytes bounds the node's decoded-ADS cache by estimated
-// footprint instead of (or in addition to) entry count.
-func WithADSCacheBytes(bytes int64) NodeOption {
-	return func(c *nodeConfig) { c.cacheBytes = bytes }
 }
 
 // NewFullNode creates an ephemeral node with the given proof-of-work
@@ -115,9 +108,9 @@ func NewFullNode(difficulty chain.Difficulty, b *Builder) *FullNode {
 // fetch), so cold start costs one block decode per record, not a
 // re-mine and not even an ADS decode. Without a cache option the
 // paged set is unbounded (everything faulted in stays, matching the
-// old footprint once warm); WithADSCache/WithADSCacheBytes bound it.
+// old footprint once warm); WithADSCache bounds it.
 // The node owns the backend from here on (Close closes it); every
-// block mined or imported later is persisted to it at commit time.
+// block mined later is persisted to it at commit time.
 func NewFullNodeOn(difficulty chain.Difficulty, b *Builder, be storage.Backend, opts ...NodeOption) (*FullNode, error) {
 	var cfg nodeConfig
 	for _, o := range opts {
@@ -130,9 +123,7 @@ func NewFullNodeOn(difficulty chain.Difficulty, b *Builder, be storage.Backend, 
 		n.ads = adstore.NewPaged(adstore.PagedConfig[*BlockADS]{
 			Read:       be.Read,
 			Decode:     n.decodePagedADS,
-			Size:       func(ads *BlockADS) int { return ads.SizeBytes(b.Acc) },
 			MaxEntries: cfg.cacheBlocks,
-			MaxBytes:   cfg.cacheBytes,
 		})
 	}
 	for i := 0; i < be.Len(); i++ {
@@ -140,7 +131,7 @@ func NewFullNodeOn(difficulty chain.Difficulty, b *Builder, be storage.Backend, 
 		if err != nil {
 			return nil, fmt.Errorf("core: reading stored block %d: %w", i, err)
 		}
-		blk, err := decodeRecordBlock(data)
+		blk, err := DecodeChainRecordBlock(data)
 		if err != nil {
 			return nil, fmt.Errorf("core: stored block %d: %w", i, err)
 		}
@@ -157,7 +148,7 @@ func NewFullNodeOn(difficulty chain.Difficulty, b *Builder, be storage.Backend, 
 // so a tampered record surfaces at page-in exactly as it would have at
 // an eager open.
 func (n *FullNode) decodePagedADS(height int, data []byte) (*BlockADS, error) {
-	ads, err := decodeRecordADS(data)
+	ads, err := DecodeChainRecordADS(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: stored block %d: %w", height, err)
 	}

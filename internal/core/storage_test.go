@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"errors"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,6 +23,32 @@ func openTestNode(t *testing.T, b *Builder, dir string) *FullNode {
 	}
 	t.Cleanup(func() { node.Close() })
 	return node
+}
+
+// openTestLog opens an empty segmented log that is closed at test end.
+func openTestLog(t *testing.T) *storage.Log {
+	t.Helper()
+	l, err := storage.Open(t.TempDir(), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// v1Record renders (blk, ads) in the retired v1 record format: one
+// bare gob of a {Block, ADS} struct, with no magic.
+func v1Record(t testing.TB, blk *chain.Block, ads *BlockADS) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := struct {
+		Block *chain.Block
+		ADS   *BlockADS
+	}{blk, ads}
+	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestOpenFullNodePersistsAcrossRestart(t *testing.T) {
@@ -153,19 +179,21 @@ func TestOpenFullNodeRejectsChainInvalidRecord(t *testing.T) {
 	// bug, and recovery must not paper over it.
 	acc := testAccs(t)["acc2"]
 	b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
-	mem := storage.NewMemory()
-	node, err := NewFullNodeOn(0, b, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := openTestNode(t, b, t.TempDir())
 	for i := 0; i < 2; i++ {
 		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rec0, _ := mem.Read(0)
-	rec1, _ := mem.Read(1)
-	swapped := storage.NewMemory()
+	rec0, err := node.Backend().Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1, err := node.Backend().Read(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := openTestLog(t)
 	for _, rec := range [][]byte{rec1, rec0} {
 		if err := swapped.Append(rec); err != nil {
 			t.Fatal(err)
@@ -173,6 +201,25 @@ func TestOpenFullNodeRejectsChainInvalidRecord(t *testing.T) {
 	}
 	if _, err := NewFullNodeOn(0, b, swapped); err == nil {
 		t.Fatal("reordered store accepted")
+	}
+}
+
+// TestOpenFullNodeRejectsV1Record: records of the retired v1 format
+// (a bare {Block, ADS} gob) are a decode error, not a readable entry.
+func TestOpenFullNodeRejectsV1Record(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
+	node := NewFullNode(0, b)
+	blk, err := node.MineBlock(carObjects(0), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := openTestLog(t)
+	if err := l.Append(v1Record(t, blk, mustADS(t, node, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFullNodeOn(0, b, l); err == nil {
+		t.Fatal("v1 record accepted")
 	}
 }
 
@@ -274,138 +321,5 @@ func TestConcurrentMinersStayAligned(t *testing.T) {
 		if ads.Height != h || ads.MerkleRoot() != hdr.MerkleRoot {
 			t.Fatalf("ADS at %d does not correspond to its block (ads height %d)", h, ads.Height)
 		}
-	}
-}
-
-func TestLoadIsAllOrNothing(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	node, _ := buildTestChain(t, acc, ModeIntra, 4)
-	var buf bytes.Buffer
-	if err := node.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt a mid-snapshot block: swap ADSs 2 and 3 so block 2 fails
-	// the header cross-check after 0 and 1 validated.
-	hdr, entries := decodeSnapshot(t, buf.Bytes())
-	entries[2].ADS, entries[3].ADS = entries[3].ADS, entries[2].ADS
-	var tampered bytes.Buffer
-	encodeSnapshot(t, &tampered, hdr, entries)
-
-	restored, err := NewFullNodeOn(0, node.Builder, storage.NewMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Load(&tampered); err == nil {
-		t.Fatal("tampered snapshot accepted")
-	}
-	// The old Load left blocks 0..1 behind; all-or-nothing means the
-	// node — and its backend — must still be completely empty.
-	if restored.Height() != 0 {
-		t.Fatalf("failed Load left height %d, want 0", restored.Height())
-	}
-	if ads, _ := restored.ADSAt(0); ads != nil {
-		t.Fatal("failed Load left an ADS behind")
-	}
-	if restored.Backend().Len() != 0 {
-		t.Fatalf("failed Load left %d persisted records", restored.Backend().Len())
-	}
-
-	// And the same node can then import the intact snapshot.
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Height() != 4 {
-		t.Fatalf("clean import height %d, want 4", restored.Height())
-	}
-}
-
-// TestSnapshotMigratesOntoLogBackend is the snapshot → block store
-// migration path: import a legacy snapshot into a log-backed node,
-// restart, and serve verified queries from the log alone.
-func TestSnapshotMigratesOntoLogBackend(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	legacy, light := buildTestChain(t, acc, ModeBoth, 4)
-	var buf bytes.Buffer
-	if err := legacy.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	node := openTestNode(t, legacy.Builder, dir)
-	if err := node.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re := openTestNode(t, legacy.Builder, dir)
-	if re.Height() != 4 {
-		t.Fatalf("migrated height %d, want 4", re.Height())
-	}
-	q := sedanBenzQuery(0, 3)
-	vo, err := re.SP(false).TimeWindowQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo); err != nil {
-		t.Fatalf("migrated node's VO rejected: %v", err)
-	}
-	// Round trip back out: the export must match the legacy node's.
-	var out bytes.Buffer
-	if err := re.Save(&out); err != nil {
-		t.Fatal(err)
-	}
-	reHdr, reEntries := decodeSnapshot(t, out.Bytes())
-	if reHdr.Count != 4 || len(reEntries) != 4 {
-		t.Fatalf("re-export has %d blocks (%d entries)", reHdr.Count, len(reEntries))
-	}
-	for i, e := range reEntries {
-		if e.Block == nil || e.ADS == nil {
-			t.Fatalf("re-export entry %d missing block or ADS", i)
-		}
-	}
-}
-
-// failingBackend rejects appends after a budget — a disk-full stand-in
-// for Load's mid-import persistence failure.
-type failingBackend struct {
-	*storage.Memory
-	budget int
-}
-
-func (f *failingBackend) Append(data []byte) error {
-	if f.budget <= 0 {
-		return errors.New("disk full")
-	}
-	f.budget--
-	return f.Memory.Append(data)
-}
-
-func TestLoadRollsBackOnBackendFailure(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	node, _ := buildTestChain(t, acc, ModeIntra, 4)
-	var buf bytes.Buffer
-	if err := node.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	be := &failingBackend{Memory: storage.NewMemory(), budget: 2}
-	restored, err := NewFullNodeOn(0, node.Builder, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Load(&buf); err == nil {
-		t.Fatal("import over a failing backend succeeded")
-	}
-	// All-or-nothing even for persistence failures: nothing visible in
-	// RAM, nothing left in the backend.
-	ads, _ := restored.ADSAt(0)
-	if restored.Height() != 0 || ads != nil {
-		t.Fatalf("failed import left height %d visible", restored.Height())
-	}
-	if be.Len() != 0 {
-		t.Fatalf("failed import left %d records in the backend", be.Len())
 	}
 }

@@ -22,9 +22,6 @@ func (pr *Params) GTMul(a, b GT) GT { return GT{V: pr.X.Mul(a.V, b.V)} }
 // GTExp returns a^k in G_T.
 func (pr *Params) GTExp(a GT, k *big.Int) GT { return GT{V: pr.X.Exp(a.V, k)} }
 
-// GTInv returns a⁻¹ in G_T.
-func (pr *Params) GTInv(a GT) GT { return GT{V: pr.X.Inv(a.V)} }
-
 // Equal reports G_T equality.
 func (a GT) Equal(b GT) bool { return a.V.Equal(b.V) }
 

@@ -8,12 +8,23 @@ import (
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
+// openLog returns an empty segmented log that is closed at test end.
+func openLog(t *testing.T) *storage.Log {
+	t.Helper()
+	l, err := storage.Open(t.TempDir(), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 func TestScheduleWindows(t *testing.T) {
 	s := NewSchedule(
 		Rule{Op: OpAppend, From: 2, To: 3, Fail: true},
 		Rule{Op: OpRead, From: 1, Delay: time.Millisecond},
 	)
-	b := WrapBackend(storage.NewMemory(), s)
+	b := WrapBackend(openLog(t), s)
 
 	if err := b.Append([]byte("a")); err != nil {
 		t.Fatalf("append 1: %v", err)
@@ -40,7 +51,7 @@ func TestScheduleWindows(t *testing.T) {
 
 func TestScheduleHealAndRearm(t *testing.T) {
 	s := NewSchedule()
-	b := WrapBackend(storage.NewMemory(), s)
+	b := WrapBackend(openLog(t), s)
 	s.NextFailures(OpAppend, 2)
 	for i := 0; i < 2; i++ {
 		if err := b.Append([]byte("x")); !errors.Is(err, ErrInjected) {
@@ -63,7 +74,7 @@ func TestScheduleHealAndRearm(t *testing.T) {
 func TestSeededDeterminism(t *testing.T) {
 	probe := func() []int {
 		s := Seeded(42, 20, 3, OpAppend)
-		b := WrapBackend(storage.NewMemory(), s)
+		b := WrapBackend(openLog(t), s)
 		var failed []int
 		for i := 1; i <= 20; i++ {
 			if err := b.Append([]byte("x")); err != nil {

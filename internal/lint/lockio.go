@@ -17,8 +17,8 @@ import (
 // themselves (their callers do) and are the reviewed, atomic
 // validate-persist-publish path, so calls to same-package *Locked
 // functions under a lock are exempt. Deliberate whole-node freezes
-// (snapshot export/import, shard restart) carry a function-scoped
-// vchainlint:ignore directive instead.
+// (shard restart) carry a function-scoped vchainlint:ignore directive
+// instead.
 //
 // The check is intra-procedural with one level of same-package call
 // propagation: a lock-holding function calling a same-package function
@@ -299,8 +299,8 @@ func (s *lockioScan) release(held *[]lockEntry, expr string) {
 
 // checkNode flags forbidden calls inside n while any lock is held.
 // Function literals are scanned as their own bodies: closures defined
-// under a lock are assumed to run under it (snapshot rollbacks,
-// restore helpers), goroutine bodies are handled by scanStmt.
+// under a lock are assumed to run under it (rollback and restore
+// helpers), goroutine bodies are handled by scanStmt.
 func (s *lockioScan) checkNode(n ast.Node, held *[]lockEntry) {
 	ast.Inspect(n, func(node ast.Node) bool {
 		if lit, ok := node.(*ast.FuncLit); ok {

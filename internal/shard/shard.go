@@ -276,7 +276,6 @@ func (n *Node) pagedSource(w *worker) core.ADSSource {
 			return be.Read(n.heightRecord(h))
 		},
 		Decode:     func(h int, data []byte) (*core.BlockADS, error) { return n.decodePagedADS(h, data) },
-		Size:       func(ads *core.BlockADS) int { return ads.SizeBytes(n.builder.Acc) },
 		MaxEntries: perShard,
 	})
 }

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -249,39 +249,44 @@ func TestLogTruncate(t *testing.T) {
 	checkRecords(t, re, [][]byte{[]byte("fresh")})
 }
 
-func TestMemoryBackend(t *testing.T) {
-	m := NewMemory()
-	var want [][]byte
-	for i := 0; i < 5; i++ {
-		rec := []byte(fmt.Sprintf("rec-%d", i))
-		if err := m.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rec)
-	}
-	if m.Len() != 5 {
-		t.Fatalf("Len() = %d", m.Len())
-	}
-	for i, w := range want {
-		got, err := m.Read(i)
-		if err != nil || !bytes.Equal(got, w) {
-			t.Fatalf("Read(%d) = %x, %v", i, got, err)
-		}
-	}
-	if _, err := m.Read(5); err == nil {
-		t.Fatal("out-of-range read succeeded")
-	}
-	if err := m.Truncate(2); err != nil {
+// TestReadVerifiesCRC is the flipped-byte regression: a record whose
+// payload rots on disk after commit must fail Read with the typed
+// ErrCorruptRecord, not come back silently garbled.
+func TestReadVerifiesCRC(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestLog(t, dir, Options{})
+	recs := fillLog(t, l, 3)
+	checkRecords(t, l, recs)
+
+	// Flip one payload byte of the middle record directly in the file.
+	l.mu.RLock()
+	ref := l.recs[1]
+	path := l.segs[ref.seg].path
+	off := ref.off
+	l.mu.RUnlock()
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 2 {
-		t.Fatalf("post-truncate Len() = %d", m.Len())
-	}
-	if err := m.Close(); err != nil {
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off+3); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append([]byte("x")); err == nil {
-		t.Fatal("append after close succeeded")
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], off+3); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if _, err := l.Read(1); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("Read of rotted record = %v, want ErrCorruptRecord", err)
+	}
+	// Neighbors are untouched.
+	if got, err := l.Read(0); err != nil || !bytes.Equal(got, recs[0]) {
+		t.Fatalf("Read(0) after rot: %v", err)
+	}
+	if got, err := l.Read(2); err != nil || !bytes.Equal(got, recs[2]) {
+		t.Fatalf("Read(2) after rot: %v", err)
 	}
 }
 

@@ -3,15 +3,12 @@
 // block. The core layer serializes each (Block, BlockADS) pair into one
 // record at commit time, so a durable backend persists the chain — and
 // the expensive-to-rebuild ADS bodies — incrementally as blocks are
-// mined, instead of via whole-chain snapshots.
+// mined.
 //
-// Two implementations exist:
-//
-//   - Memory keeps records in RAM (the historical behavior: nothing
-//     survives a restart);
-//   - Log is an append-only segmented log on disk with per-record
-//     CRC framing, fsync-on-commit durability, and crash recovery that
-//     truncates to the last valid record.
+// Log is the durable implementation: an append-only segmented log on
+// disk with per-record CRC framing, fsync-on-commit durability, and
+// crash recovery that truncates to the last valid record. Null is the
+// no-persistence backend of plain in-memory nodes.
 //
 // Backends store bytes, not blocks: they know nothing about chain
 // validation, which stays in the core commit path.
@@ -20,16 +17,14 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrOutOfRange is returned by Read for an index not in [0, Len()).
 var ErrOutOfRange = errors.New("storage: record index out of range")
 
 // ErrCorruptRecord is returned by Read when a record's payload fails
-// its CRC32-C, and by cold-segment promotion when a fetched segment
-// does not match what was sealed. It means bit-rot or tampering, not
-// a transient IO failure: retrying the same read cannot succeed.
+// its CRC32-C. It means bit-rot or tampering, not a transient IO
+// failure: retrying the same read cannot succeed.
 var ErrCorruptRecord = errors.New("storage: corrupt record")
 
 // Backend is an ordered, append-only store of opaque records. Record i
@@ -47,9 +42,9 @@ type Backend interface {
 	// the caller.
 	Read(i int) ([]byte, error)
 	// Truncate discards records n.. so that Len() == n afterwards. It
-	// is the rollback half of an atomic multi-record import: a failed
-	// import truncates back to its start. Truncating beyond Len() is an
-	// error.
+	// is the rollback half of a commit whose in-RAM publish failed, and
+	// how a sharded reopen drops records stranded above the restored
+	// height. Truncating beyond Len() is an error.
 	Truncate(n int) error
 	// Close releases resources. A closed backend rejects further use.
 	Close() error
@@ -97,66 +92,3 @@ func (Null) Truncate(n int) error {
 
 // Close implements Backend.
 func (Null) Close() error { return nil }
-
-// Memory is the in-RAM backend: it retains every record for the
-// process lifetime, so replay, import rollback, and export all work
-// uniformly against it — useful for tests and staging flows. A node
-// that only needs the legacy "nothing survives" behavior uses Null
-// instead and skips record serialization altogether.
-type Memory struct {
-	mu     sync.RWMutex
-	recs   [][]byte
-	closed bool
-}
-
-// NewMemory returns an empty in-memory backend.
-func NewMemory() *Memory { return &Memory{} }
-
-// Len implements Backend.
-func (m *Memory) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.recs)
-}
-
-// Append implements Backend.
-func (m *Memory) Append(data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errors.New("storage: backend closed")
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.recs = append(m.recs, cp)
-	return nil
-}
-
-// Read implements Backend.
-func (m *Memory) Read(i int) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if i < 0 || i >= len(m.recs) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrOutOfRange, i, len(m.recs))
-	}
-	return m.recs[i], nil
-}
-
-// Truncate implements Backend.
-func (m *Memory) Truncate(n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n < 0 || n > len(m.recs) {
-		return fmt.Errorf("%w: truncate to %d of %d", ErrOutOfRange, n, len(m.recs))
-	}
-	m.recs = m.recs[:n]
-	return nil
-}
-
-// Close implements Backend.
-func (m *Memory) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	return nil
-}
